@@ -20,11 +20,18 @@
 //! and pay a cache-lookup cost per entry, with one stitched instance per
 //! distinct key tuple.
 //!
-//! With [`EngineOptions::shared_cache`] set, sessions additionally consult
-//! a process-wide [`SharedCodeCache`] before running set-up code: an
-//! instance some other session already stitched is installed with a bulk
-//! copy + relocation instead of being re-stitched (see [`crate::cache`]
-//! for the sharding and the cycle-accounting caveat).
+//! Every instance enters the code space through one install step,
+//! [`Session::install`] — fault point, read replay, relocation,
+//! `verify_code`, tariff, `append_code`, counters and trace, publication,
+//! indexing — whatever its source: a fresh stitch, a finished background
+//! stitch ([`crate::tiered`]), another session's instance from the
+//! [`SharedCodeCache`] (a bulk copy + relocation instead of a re-stitch;
+//! see [`crate::cache`] for the sharding and the cycle-accounting
+//! caveat), or an earlier process's instance from the
+//! [`PersistentCache`]. Before stitching, a region probes the caches in
+//! one order, shared then disk: keyed regions at the trap (the key is
+//! the instance's identity), unkeyed regions after set-up (the constants
+//! it produced are).
 
 use crate::cache::{LruOrder, SharedCodeCache, SharedKey};
 use crate::faults::{
@@ -42,7 +49,7 @@ use dyncomp_machine::isa::{decode, encode, Inst, Op, CTP, SP};
 use dyncomp_machine::template::ValueLoc;
 use dyncomp_machine::verify::verify_code;
 use dyncomp_machine::vm::{Stop, Vm, VmError};
-use dyncomp_stitcher::{StitchOptions, StitchStats};
+use dyncomp_stitcher::{StitchError, StitchOptions, StitchStats, Stitched};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,19 +81,15 @@ pub struct EngineOptions {
     /// Process-wide stitched-code cache shared between sessions. `None`
     /// (the default) keeps today's per-session caching and its exact
     /// simulated-cycle accounting — the mode the paper tables are measured
-    /// in. With a cache, a session entering a *keyed* region some other
-    /// session already stitched installs that instance (bulk copy +
-    /// relocation) instead of running set-up code and the stitcher,
+    /// in. With a cache, a session installs an instance some other session
+    /// already stitched (bulk copy + relocation) instead of stitching it,
     /// charging [`EngineOptions::shared_lookup_cycles`] and
-    /// [`EngineOptions::shared_install_cycles_per_word`] instead. Unkeyed
-    /// regions probe only *after* running their set-up code — the
-    /// run-time constants it produces are the instance's identity, which
-    /// nothing at the `EnterRegion` trap reveals — and install a cached
-    /// instance only when replaying the publishing stitch's recorded
-    /// table reads ([`dyncomp_stitcher::Stitched::reads`]) against this
-    /// session's memory reproduces every value; a mismatch stitches
-    /// locally, so sessions specializing the same region to different
-    /// constants never alias each other's code.
+    /// [`EngineOptions::shared_install_cycles_per_word`]. Keyed regions
+    /// probe at the trap and skip set-up too; unkeyed regions probe after
+    /// set-up and install only when the publishing stitch's recorded table
+    /// reads ([`dyncomp_stitcher::Stitched::reads`]) replay against this
+    /// session's memory, so sessions specializing the same region to
+    /// different constants never alias each other's code.
     pub shared_cache: Option<Arc<SharedCodeCache>>,
     /// Cycles charged per shared-cache probe (hash + stripe lock + bucket
     /// walk), hit or miss. Only charged when `shared_cache` is set.
@@ -132,18 +135,15 @@ pub struct EngineOptions {
     pub native: bool,
     /// Crash-safe on-disk cache for stitched instances
     /// ([`crate::persist`]). `None` (the default) keeps everything
-    /// in-process. When set, a session entering a region it has not
-    /// stitched probes the directory for an instance published by an
-    /// earlier process — keyed regions right at the trap (skipping both
-    /// set-up and the stitch), unkeyed regions after set-up (validated
-    /// by replaying the publishing stitch's recorded table reads, same
-    /// rule as the shared cache) — and every freshly stitched instance
-    /// is stored for the next process. Loaded files are untrusted: they
-    /// re-pass `verify_code` before install, and any corruption
-    /// degrades to a local stitch with a typed health entry. Disk I/O
-    /// is host-side (zero simulated cycles); a hit charges the
-    /// shared-cache install model, so cold runs are bit-identical with
-    /// this on or off.
+    /// in-process. When set, a region not yet stitched here probes the
+    /// directory after the shared cache (keyed regions at the trap,
+    /// unkeyed ones after set-up, under the same read-replay rule), and
+    /// every fresh or background instance is stored for the next process.
+    /// Loaded files are untrusted: they pass the same install step as any
+    /// other source, and any corruption degrades to a local stitch with a
+    /// typed health entry. Disk I/O is host-side (zero simulated cycles);
+    /// a hit charges the shared-cache install model, so cold runs are
+    /// bit-identical with this on or off.
     pub persist: Option<Arc<PersistentCache>>,
     /// Direct-threaded native dispatch (only meaningful with `native`):
     /// the whole static code region is installed as one native instance,
@@ -196,6 +196,7 @@ const STATIC_CHAIN_THRESHOLD: u64 = 4;
 /// Per-session state of the host-native backend (`Some` iff
 /// [`EngineOptions::native`] was set). All counters are host-side
 /// bookkeeping: nothing here charges simulated cycles.
+#[derive(Default)]
 struct NativeState {
     /// Installed instances and their executable arena.
     backend: dyncomp_native::Backend,
@@ -205,10 +206,6 @@ struct NativeState {
     /// Whether the `backend-unavailable` health entry was recorded (it
     /// is recorded at most once per session).
     reported: bool,
-    /// Artifact pre-translated by `end_setup` (so the published
-    /// [`dyncomp_stitcher::Stitched`] carries its native footprint),
-    /// keyed by install base and consumed by `index_instance`.
-    pending: Option<(u32, dyncomp_native::Artifact)>,
     installs: u64,
     declined: u64,
     entries: u64,
@@ -243,30 +240,6 @@ struct NativeState {
     /// Direct transfers attributed to the static-code instance (it has
     /// no per-region report row).
     static_chained: u64,
-}
-
-impl NativeState {
-    fn new() -> Self {
-        NativeState {
-            backend: dyncomp_native::Backend::new(),
-            disabled: false,
-            reported: false,
-            pending: None,
-            installs: 0,
-            declined: 0,
-            entries: 0,
-            translate_ns: 0,
-            translated_instructions: 0,
-            covered_instructions: 0,
-            static_attempted: false,
-            static_end: 0,
-            static_code: Vec::new(),
-            call_entries: 0,
-            marks: FxHashMap::default(),
-            region_of: FxHashMap::default(),
-            static_chained: 0,
-        }
-    }
 }
 
 /// Host-native backend counters ([`Session::native_report`]). All
@@ -331,56 +304,13 @@ struct RegionState {
     /// Every stitched instance ever installed: (key, code base, length in
     /// words). Survives eviction — code space is append-only.
     instances: Vec<(Vec<u64>, u32, u32)>,
-    /// Cache entries dropped to stay within the configured capacity.
-    evictions: u64,
     /// Key recorded at `EnterRegion`, consumed at `EndSetup`.
     pending_key: Option<Vec<u64>>,
     /// Cycle counter value when set-up started.
     setup_start: u64,
-    /// Accumulated set-up cycles (VM-measured).
-    setup_cycles: u64,
-    /// Accumulated stitcher statistics.
-    stitch: StitchStats,
-    /// Number of stitches performed.
-    stitches: u32,
-    /// Instances installed from the process-wide shared cache (set-up and
-    /// stitching skipped).
-    shared_hits: u64,
-    /// Instances installed from the persistent on-disk cache.
-    persist_hits: u64,
-    /// Persistent-cache probes that found nothing usable.
-    persist_misses: u64,
-    /// Persistent-cache files refused (corrupt, stale reads, verifier
-    /// reject): each one degraded to a local stitch.
-    persist_rejects: u64,
-    /// Region entries observed (including fast-path re-entries only for
-    /// keyed regions; patched unkeyed regions bypass the trap, so the
-    /// session counts their entries via [`Session::call`]'s bookkeeping).
-    invocations: u64,
-    /// Entries that ran the statically compiled fallback copy while a
-    /// background stitch was in flight (tiered mode).
-    fallback_runs: u64,
-    /// Instances installed from background workers (tiered mode).
-    bg_installs: u64,
-    /// Of [`RegionState::bg_installs`], those stitched speculatively
-    /// (predicted key, ahead of demand).
-    spec_installs: u64,
-    /// Set-up cycles spent on background forks (worker clocks, never the
-    /// session's — kept separate from [`RegionState::setup_cycles`] so
-    /// synchronous accounting is untouched).
-    bg_setup_cycles: u64,
-    /// Stitch cycles spent on background forks.
-    bg_stitch_cycles: u64,
-    /// Faults the plan injected into this region.
-    faults_injected: u64,
-    /// Recovery retries charged against this region.
-    retries: u64,
-    /// Compile-time inline sites replayed by this session's synchronous
-    /// stitches (one per site per stitch).
-    inlined_calls: u64,
-    /// Direct (chained) native transfers taken by dispatches that entered
-    /// through this region's instances.
-    native_chained: u64,
+    /// The region's counters: updated in place, copied out by
+    /// [`Session::region_report`].
+    report: RegionReport,
 }
 
 /// Per-region measurement report (feeds Table 2 / Table 3).
@@ -504,7 +434,7 @@ impl<P: Borrow<Program>> Session<P> {
             .as_ref()
             .map(|plan| Box::new(FaultState::new(plan)));
         let recovery = RecoveryState::new(options.recovery.clone(), p.compiled.regions.len());
-        let mut native = options.native.then(|| Box::new(NativeState::new()));
+        let mut native = options.native.then(Box::<NativeState>::default);
         if let Some(ns) = native.as_deref_mut() {
             // Snapshot the static-code extent before any dynamic install
             // grows the code space (chain mode translates exactly this
@@ -689,7 +619,7 @@ impl<P: Borrow<Program>> Session<P> {
         if delta > 0 {
             match region {
                 Some(r) if (r as usize) < self.regions.len() => {
-                    self.regions[r as usize].native_chained += delta;
+                    self.regions[r as usize].report.native_chained += delta;
                     self.tr(EventKind::NativeChained {
                         region: r,
                         count: delta,
@@ -995,13 +925,19 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
-    /// Attempt a native install for the instance at `base` (all three
-    /// install paths funnel through [`Session::index_instance`], which
-    /// calls this). Returns the host bytes actually installed, so the
+    /// Attempt a native install for the instance at `base` (every
+    /// install ends in [`Session::index_instance`], which calls this).
+    /// Returns the host bytes actually installed, so the
     /// caller can fold them into the byte-budget ladder. Never fails the
     /// session: every degradation leaves the instance running on the VM
     /// backend, recorded as a `backend-unavailable` health entry.
-    fn maybe_install_native(&mut self, region: u16, base: u32, len: u32) -> u64 {
+    fn maybe_install_native(
+        &mut self,
+        region: u16,
+        base: u32,
+        len: u32,
+        native: Option<dyncomp_native::Artifact>,
+    ) -> u64 {
         if self.native.is_none() {
             return 0;
         }
@@ -1026,7 +962,6 @@ impl<P: Borrow<Program>> Session<P> {
         if ns.disabled {
             return 0;
         }
-        let pending = ns.pending.take();
         if !dyncomp_native::available() {
             ns.disabled = true;
             if !std::mem::replace(&mut ns.reported, true) {
@@ -1040,9 +975,9 @@ impl<P: Borrow<Program>> Session<P> {
             }
             return 0;
         }
-        let artifact = match pending {
-            Some((b, a)) if b == base => a,
-            _ => self.translate_native(region, base, len),
+        let artifact = match native {
+            Some(a) => a,
+            None => self.translate_native(region, base, len),
         };
         if !artifact.entry_supported {
             if let Some(ns) = self.native_checked(region) {
@@ -1165,7 +1100,7 @@ impl<P: Borrow<Program>> Session<P> {
             return;
         };
         for (point, region) in f.drain_pending() {
-            self.regions[region as usize].faults_injected += 1;
+            self.regions[region as usize].report.faults_injected += 1;
             self.recovery.note_fault();
             self.tr(EventKind::FaultInjected { region, point });
         }
@@ -1195,7 +1130,7 @@ impl<P: Borrow<Program>> Session<P> {
     fn charge_retry(&mut self, region: u16, attempt: u32) {
         let backoff = self.recovery.policy().retry_backoff_cycles * u64::from(attempt);
         self.vm.cycles += backoff;
-        self.regions[region as usize].retries += 1;
+        self.regions[region as usize].report.retries += 1;
         self.recovery.note_retry();
         self.tr(EventKind::RecoveryRetry {
             region,
@@ -1207,7 +1142,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// Serve an entry from the region's statically compiled fallback copy
     /// (quarantine, budget exhaustion, or a failed background install).
     fn run_fallback(&mut self, region: u16, fallback_pc: u32) {
-        self.regions[region as usize].fallback_runs += 1;
+        self.regions[region as usize].report.fallback_runs += 1;
         self.tr(EventKind::FallbackRun { region });
         self.vm.pc = fallback_pc;
     }
@@ -1217,7 +1152,7 @@ impl<P: Borrow<Program>> Session<P> {
         let key = self.read_key(&rc.key_locs)?;
         let keyed = !rc.key_locs.is_empty();
         let (setup_pc, fallback_pc, key_len) = (rc.setup_pc, rc.fallback_pc, rc.key_locs.len());
-        self.regions[region as usize].invocations += 1;
+        self.regions[region as usize].report.invocations += 1;
         self.vm.cycles += self.options.trap_cycles;
         self.tr(EventKind::RegionEnter { region, keyed });
         if keyed {
@@ -1249,34 +1184,18 @@ impl<P: Borrow<Program>> Session<P> {
                         return Ok(());
                     }
                 }
-                // Not stitched here yet. Keyed regions consult the
-                // process-wide cache before paying for set-up + stitching:
-                // the key *is* the instance's identity, readable right at
-                // the trap. Unkeyed regions must not probe here — their
+                // Not stitched here yet. Keyed regions consult the code
+                // caches before paying for set-up + stitching: the key
+                // *is* the instance's identity, readable right at the
+                // trap. Unkeyed regions must not probe here — their
                 // identity is the run-time constants set-up has yet to
                 // produce, and an entry filed under the empty key would
                 // alias instances specialized to different constants
                 // across sessions (wrong code, silently wrong results).
                 // They probe in `end_setup` instead, validated against the
-                // publishing stitch's recorded table reads. A degraded
-                // install (injected failure, failed relocation, verifier
-                // reject) falls through to the session's own stitch path.
-                let mut installed = if keyed {
-                    match self.shared_lookup(region, &key) {
-                        Some(stitched) => self.install_shared(region, key.clone(), &stitched)?,
-                        None => false,
-                    }
-                } else {
-                    false
-                };
-                // After the in-process cache, the on-disk one: a keyed
-                // instance an earlier *process* stitched skips set-up and
-                // stitching here too (unkeyed regions probe in
-                // `end_setup`, for the same identity reason as above).
-                if !installed && keyed {
-                    installed = self.persist_probe(region, &key, false)?;
-                }
-                if installed {
+                // publishing stitch's recorded table reads. A refused
+                // install falls through to the session's own stitch path.
+                if keyed && self.install_cached(region, &key)? {
                     self.speculate_after(region, &key);
                 } else if let (true, Some(fallback)) = (self.tiered.is_some(), fallback_pc) {
                     self.tiered_miss(region, key, fallback, setup_pc)?;
@@ -1322,6 +1241,11 @@ impl<P: Borrow<Program>> Session<P> {
             }
             self.charge_retry(region, attempt);
         }
+        self.start_setup(region, key, setup_pc);
+    }
+
+    /// Jump to the region's set-up code; `end_setup` picks up from here.
+    fn start_setup(&mut self, region: u16, key: Vec<u64>, setup_pc: u32) {
         let st = &mut self.regions[region as usize];
         st.pending_key = Some(key);
         st.setup_start = self.vm.cycles;
@@ -1374,110 +1298,24 @@ impl<P: Borrow<Program>> Session<P> {
                 stitch_cycles,
                 speculative,
             } => {
-                // Injected arena exhaustion: back off deterministically
-                // (the simulated arena grows) before installing.
-                let mut attempt = 0u32;
-                while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
-                    self.record_failure(
-                        region,
-                        FailureKind::Install,
-                        true,
-                        "injected code-arena exhaustion installing background stitch".to_string(),
-                    );
-                    attempt += 1;
-                    if attempt > self.recovery.policy().max_retries {
-                        break;
-                    }
-                    self.charge_retry(region, attempt);
-                }
-                // Same bulk copy + relocation (and per-word charge) as a
-                // shared-cache install. A relocation failure or a verifier
-                // reject consumes the job and degrades this entry to the
-                // fallback copy; the next entry re-enqueues.
-                let base = self.vm.code.len() as u32;
-                let code = match stitched.relocate(base, &mut self.vm.mem) {
-                    Ok((code, _lin_addr)) => match verify_code(&code, base) {
-                        Ok(()) => code,
-                        Err(e) => {
-                            self.tr(EventKind::VerifyReject { region });
-                            self.record_failure(
-                                region,
-                                FailureKind::Verify,
-                                false,
-                                format!(
-                                    "background instance rejected by pre-install \
-                                     verification: {e}"
-                                ),
-                            );
-                            self.run_fallback(region, fallback_pc);
-                            self.speculate_after(region, &key);
-                            return Ok(());
-                        }
-                    },
-                    Err(e) => {
-                        self.record_failure(
-                            region,
-                            FailureKind::Install,
-                            false,
-                            format!("background instance failed to relocate: {e}"),
-                        );
-                        self.run_fallback(region, fallback_pc);
-                        self.speculate_after(region, &key);
-                        return Ok(());
-                    }
-                };
-                self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
-                self.vm.append_code(&code);
-                let st = &mut self.regions[region as usize];
-                st.bg_installs += 1;
-                if speculative {
-                    st.spec_installs += 1;
-                }
-                st.bg_setup_cycles += setup_cycles;
-                st.bg_stitch_cycles += stitch_cycles;
-                self.tr(EventKind::BgInstall {
-                    region,
-                    words: code.len() as u32,
-                    speculative,
+                // A refused install consumes the job and degrades this
+                // entry to the fallback copy; the next entry re-enqueues.
+                let source = Source::Background {
+                    stitched,
                     setup_cycles,
                     stitch_cycles,
-                });
-                if speculative {
-                    self.tr(EventKind::SpeculateHit { region });
+                    speculative,
+                };
+                if !self.install(region, key.clone(), source)? {
+                    self.run_fallback(region, fallback_pc);
                 }
-                if let Some(cache) = &self.options.shared_cache {
-                    let evicted = cache.insert(
-                        SharedKey {
-                            program: self.program.borrow().id(),
-                            region,
-                            key: key.clone(),
-                        },
-                        Arc::clone(&stitched),
-                    );
-                    if evicted > 0 {
-                        self.tr(EventKind::CacheEvict {
-                            region,
-                            count: evicted as u64,
-                        });
-                    }
-                }
-                self.persist_store(region, &key, &stitched, base);
-                self.index_instance(region, key.clone(), base, code.len() as u32)?;
                 self.speculate_after(region, &key);
             }
             TierDecision::Fallback => {
-                self.regions[region as usize].fallback_runs += 1;
-                self.tr(EventKind::FallbackRun { region });
+                self.run_fallback(region, fallback_pc);
                 self.speculate_after(region, &key);
-                self.vm.pc = fallback_pc;
             }
-            TierDecision::Synchronous => {
-                let st = &mut self.regions[region as usize];
-                st.pending_key = Some(key);
-                st.setup_start = self.vm.cycles;
-                self.vm.pc = setup_pc;
-                self.tr(EventKind::SetupStart { region });
-            }
+            TierDecision::Synchronous => self.start_setup(region, key, setup_pc),
         }
         Ok(())
     }
@@ -1519,11 +1357,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// Probe the shared cache (when configured), charging the probe cost.
     /// An injected poisoned shard abandons the probe: the charge is paid
     /// and the entry proceeds as a miss.
-    fn shared_lookup(
-        &mut self,
-        region: u16,
-        key: &[u64],
-    ) -> Option<Arc<dyncomp_stitcher::Stitched>> {
+    fn shared_lookup(&mut self, region: u16, key: &[u64]) -> Option<Arc<Stitched>> {
         let cache = Arc::clone(self.options.shared_cache.as_ref()?);
         self.vm.cycles += self.options.shared_lookup_cycles;
         if self
@@ -1551,176 +1385,66 @@ impl<P: Borrow<Program>> Session<P> {
         hit
     }
 
-    /// Install another session's stitched instance: bulk copy + base and
-    /// linearized-table relocation, charged per word. No set-up code runs
-    /// and no stitch is performed. Returns `Ok(false)` when the install
-    /// degraded (injected failure, failed relocation, or a verifier
-    /// reject): the failure is recorded and the caller falls through to
-    /// the session's own set-up + stitch path.
-    fn install_shared(
-        &mut self,
-        region: u16,
-        key: Vec<u64>,
-        stitched: &dyncomp_stitcher::Stitched,
-    ) -> Result<bool, Error> {
-        if self.fire(FaultPoint::SharedCacheInstall, region).is_some() {
-            self.record_failure(
-                region,
-                FailureKind::SharedCache,
-                true,
-                "injected shared-cache install failure".to_string(),
-            );
-            return Ok(false);
-        }
-        let base = self.vm.code.len() as u32;
-        let code = match stitched.relocate(base, &mut self.vm.mem) {
-            Ok((code, _lin_addr)) => code,
-            Err(e) => {
-                self.record_failure(
-                    region,
-                    FailureKind::SharedCache,
-                    false,
-                    format!("shared-cache instance failed to relocate: {e}"),
-                );
-                return Ok(false);
+    /// Install `(region, key)` from the code caches when one holds a
+    /// usable instance: the process-wide shared cache first, then the
+    /// on-disk cache. Keyed regions call this at the trap, unkeyed ones
+    /// after set-up (see [`Session::enter_region`]). `Ok(false)` — a miss
+    /// everywhere, or every hit refused — leaves the caller to stitch.
+    fn install_cached(&mut self, region: u16, key: &[u64]) -> Result<bool, Error> {
+        if let Some(stitched) = self.shared_lookup(region, key) {
+            if self.install(region, key.to_vec(), Source::Shared(stitched))? {
+                return Ok(true);
             }
-        };
-        if let Err(e) = verify_code(&code, base) {
-            self.tr(EventKind::VerifyReject { region });
-            self.record_failure(
-                region,
-                FailureKind::Verify,
-                false,
-                format!("shared-cache instance rejected by pre-install verification: {e}"),
-            );
-            return Ok(false);
         }
-        self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
-        self.vm.append_code(&code);
-        self.regions[region as usize].shared_hits += 1;
-        self.tr(EventKind::CacheInstall {
-            region,
-            words: code.len() as u32,
-        });
-        self.index_instance(region, key, base, code.len() as u32)?;
-        Ok(true)
+        self.persist_probe(region, key)
     }
 
     /// Bookkeeping for a refused persistent-cache load: the per-region
     /// counter, a [`EventKind::PersistReject`] trace event, and a typed
-    /// `persist` health entry. The caller falls through to the session's
-    /// own set-up + stitch path, whose store then overwrites the bad
-    /// file — corruption is self-healing and never fatal.
-    fn persist_reject(&mut self, region: u16, injected: bool, message: String) {
-        self.regions[region as usize].persist_rejects += 1;
+    /// health entry. The caller falls through to the session's own
+    /// set-up + stitch path, whose store then overwrites the bad file —
+    /// corruption is self-healing and never fatal.
+    fn persist_reject(&mut self, region: u16, kind: FailureKind, injected: bool, message: String) {
+        self.regions[region as usize].report.persist_rejects += 1;
         self.tr(EventKind::PersistReject { region });
-        self.record_failure(region, FailureKind::Persist, injected, message);
+        self.record_failure(region, kind, injected, message);
     }
 
     /// Probe the persistent on-disk cache (when configured) for this
-    /// `(region, key)` and install a valid instance. Keyed regions call
-    /// this at the trap with `validate_reads: false` (the key is the
-    /// instance's full identity); unkeyed regions call it after set-up
-    /// with `validate_reads: true`, accepting the instance only when the
-    /// publishing stitch's recorded table reads replay exactly against
-    /// this session's memory (the same anti-aliasing rule as the shared
-    /// cache — see [`Session::end_setup`]'s probe).
-    ///
-    /// Disk traffic charges zero simulated cycles; a hit charges the
-    /// shared-cache install model (lookup + per-word copy), and the
-    /// unkeyed validation replay charges the stitcher's per-read cost.
-    /// Every loaded instance re-passes `verify_code` before install;
-    /// any refusal degrades through [`Session::persist_reject`] and
-    /// returns `Ok(false)` so the caller stitches locally.
+    /// `(region, key)` and hand a loaded instance to
+    /// [`Session::install`], which treats it as untrusted like any other
+    /// source. Disk traffic charges zero simulated cycles.
     ///
     /// # Errors
-    /// Only install-side errors propagate ([`Session::index_instance`]);
-    /// anything wrong with the cached bytes degrades to a miss.
-    fn persist_probe(
-        &mut self,
-        region: u16,
-        key: &[u64],
-        validate_reads: bool,
-    ) -> Result<bool, Error> {
+    /// Only install-side errors propagate; anything wrong with the cached
+    /// bytes degrades to a miss.
+    fn persist_probe(&mut self, region: u16, key: &[u64]) -> Result<bool, Error> {
         let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
             return Ok(false);
         };
         let hash = self.program.borrow().artifact_hash();
         match cache.load_instance(hash, region, key) {
             InstanceProbe::Miss => {
-                self.regions[region as usize].persist_misses += 1;
+                self.regions[region as usize].report.persist_misses += 1;
                 self.tr(EventKind::PersistLookup { region, hit: false });
                 Ok(false)
             }
             InstanceProbe::Reject(reason) => {
                 self.persist_reject(
                     region,
+                    FailureKind::Persist,
                     false,
                     format!("persistent instance refused: {reason}"),
                 );
                 Ok(false)
             }
             InstanceProbe::Hit(inst) => {
-                if self.fire(FaultPoint::PersistLoadCorrupt, region).is_some() {
-                    let msg = "injected persist load corruption: cached instance discarded";
-                    cache.note_injected_instance_reject(msg);
-                    self.persist_reject(region, true, msg.to_string());
-                    return Ok(false);
-                }
-                if validate_reads {
-                    self.vm.cycles +=
-                        self.options.stitch.cost.table_read * inst.stitched.reads.len() as u64;
-                    if !inst.stitched.reads_match(&self.vm.mem) {
-                        self.persist_reject(
-                            region,
-                            false,
-                            "persistent instance stale: recorded table reads do not replay"
-                                .to_string(),
-                        );
-                        return Ok(false);
-                    }
-                }
-                let base = self.vm.code.len() as u32;
-                let code = match inst.stitched.relocate(base, &mut self.vm.mem) {
-                    Ok((code, _lin_addr)) => code,
-                    Err(e) => {
-                        self.persist_reject(
-                            region,
-                            false,
-                            format!("persistent instance failed to relocate: {e}"),
-                        );
-                        return Ok(false);
-                    }
+                let inst = *inst;
+                let source = Source::Persist {
+                    stitched: Arc::new(inst.stitched),
+                    native: inst.native.map(|a| (inst.install_base, a)),
                 };
-                if let Err(e) = verify_code(&code, base) {
-                    self.tr(EventKind::VerifyReject { region });
-                    self.persist_reject(
-                        region,
-                        false,
-                        format!("persistent instance rejected by pre-install verification: {e}"),
-                    );
-                    return Ok(false);
-                }
-                self.vm.cycles += self.options.shared_lookup_cycles
-                    + self.options.shared_install_cycles_per_word * code.len() as u64;
-                self.vm.append_code(&code);
-                // Native stub bytes are position-dependent: reusable only
-                // when this session installs at the very base the
-                // publisher did (deterministic replicas do). Otherwise
-                // `index_instance` re-translates locally.
-                if inst.install_base == base {
-                    if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
-                        ns.pending = Some((base, artifact));
-                    }
-                }
-                self.regions[region as usize].persist_hits += 1;
-                self.tr(EventKind::PersistLookup { region, hit: true });
-                self.tr(EventKind::PersistInstall {
-                    region,
-                    words: code.len() as u32,
-                });
-                self.index_instance(region, key.to_vec(), base, code.len() as u32)?;
-                Ok(true)
+                self.install(region, key.to_vec(), source)
             }
         }
     }
@@ -1736,8 +1460,9 @@ impl<P: Borrow<Program>> Session<P> {
         &mut self,
         region: u16,
         key: &[u64],
-        stitched: &dyncomp_stitcher::Stitched,
+        stitched: &Stitched,
         base: u32,
+        native: Option<&dyncomp_native::Artifact>,
     ) {
         let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
             return;
@@ -1766,16 +1491,9 @@ impl<P: Borrow<Program>> Session<P> {
             );
         }
         let hash = self.program.borrow().artifact_hash();
-        let outcome = {
-            // Persist the native stubs only when `end_setup` pre-translated
-            // this very base (`index_instance` has not consumed it yet) and
-            // the translation can actually serve entries.
-            let native = self.native.as_deref().and_then(|ns| match &ns.pending {
-                Some((b, a)) if *b == base && a.entry_supported => Some(a),
-                _ => None,
-            });
-            cache.store_instance(hash, region, key, stitched, base, native, torn)
-        };
+        // Native stubs are stored only if they can serve entries.
+        let native = native.filter(|a| a.entry_supported);
+        let outcome = cache.store_instance(hash, region, key, stitched, base, native, torn);
         if let StoreOutcome::Failed(reason) = outcome {
             self.record_failure(
                 region,
@@ -1786,19 +1504,20 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
-    /// One stitch attempt for `region` at code address `base`: consult
-    /// the fault plan (injected bad template, post-stitch corruption),
-    /// degrade to interpretive stitching when the budget ladder or
-    /// quarantine demands it, and run the pre-install verifier over the
-    /// result. Never installs anything.
+    /// One stitch of `region`'s constants table at code address `base`:
+    /// consult the fault plan (injected bad template, post-stitch
+    /// corruption) and degrade to interpretive stitching when the budget
+    /// ladder or quarantine demands it. Returns the instance and whether
+    /// it was deliberately corrupted. Verifies and installs nothing:
+    /// [`Session::install`] does both.
     fn stitch_once(
         &mut self,
         region: u16,
         table: u64,
         base: u32,
-    ) -> Result<dyncomp_stitcher::Stitched, StitchFailure> {
+    ) -> Result<(Stitched, bool), Refusal> {
         if self.fire(FaultPoint::StitchBadTemplate, region).is_some() {
-            return Err(StitchFailure::Retryable(
+            return Err(Refusal::Failed(
                 FailureKind::Stitch,
                 true,
                 "injected stitch failure: malformed template".to_string(),
@@ -1828,7 +1547,7 @@ impl<P: Borrow<Program>> Session<P> {
             base,
             stitch_opts.as_ref().unwrap_or(&self.options.stitch),
         )
-        .map_err(StitchFailure::Fatal)?;
+        .map_err(Refusal::Fatal)?;
         let mut corrupted = false;
         if self.fire(FaultPoint::CodeCorruption, region).is_some() && !stitched.code.is_empty() {
             // Flip an instruction-start word (never an `Ldiw` payload,
@@ -1843,127 +1562,292 @@ impl<P: Borrow<Program>> Session<P> {
                 corrupted = true;
             }
         }
-        if let Err(e) = verify_code(&stitched.code, base) {
-            self.tr(EventKind::VerifyReject { region });
-            return Err(StitchFailure::Retryable(
-                FailureKind::Verify,
-                corrupted,
-                format!("pre-install verification rejected instance: {e}"),
-            ));
-        }
-        Ok(stitched)
+        Ok((stitched, corrupted))
     }
 
     fn end_setup(&mut self, region: u16) -> Result<(), Error> {
         let table = self.vm.reg(CTP);
-        let setup_delta = self.vm.cycles - self.regions[region as usize].setup_start;
+        let st = &mut self.regions[region as usize];
+        let setup_delta = self.vm.cycles - st.setup_start;
+        let key = st.pending_key.take().unwrap_or_default();
         self.tr(EventKind::SetupEnd {
             region,
             cycles: setup_delta,
         });
-        // Unkeyed regions probe the shared cache here, now that set-up
-        // has produced the constants that define the instance's identity.
-        // The probe is validated by replaying the publishing stitch's
-        // table reads against this session's memory: a match proves a
-        // local stitch would traverse the same template paths and bake in
-        // the same values, so the cached code is this instance. Any
-        // divergence — different constants, different memory layout — is
-        // a miss and the session stitches for itself (the aliasing this
-        // prevents: two sessions, same program, different set-up
-        // constants, one empty-key cache entry serving both).
+        // Unkeyed regions probe the code caches here, now that set-up has
+        // produced the constants that define the instance's identity
+        // (the install step validates a hit by replaying its recorded
+        // table reads against this session's memory). Set-up already
+        // ran, so a hit skips only the stitch.
         let unkeyed = self.program.borrow().compiled.regions[region as usize]
             .key_locs
             .is_empty();
-        if unkeyed {
-            if let Some(stitched) = self.shared_lookup(region, &[]) {
-                self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
-                if stitched.reads_match(&self.vm.mem)
-                    && self.install_shared(region, Vec::new(), &stitched)?
-                {
-                    let st = &mut self.regions[region as usize];
-                    st.setup_cycles += setup_delta;
-                    st.pending_key = None;
-                    return Ok(());
-                }
-            }
-            // Then the on-disk cache, under the same reads-replay
-            // validation. Set-up already ran (its constants are the
-            // validation input), so a hit skips only the stitch.
-            if self.persist_probe(region, &[], true)? {
-                let st = &mut self.regions[region as usize];
-                st.setup_cycles += setup_delta;
-                st.pending_key = None;
-                return Ok(());
-            }
+        if !(unkeyed && self.install_cached(region, &key)?) {
+            self.install(region, key, Source::Fresh { table })?;
         }
-        // Stitch under the recovery policy: injected stitch failures and
-        // verifier rejects (corrupted instances) are retried with a
-        // deterministic backoff up to the policy cap; a genuine stitcher
-        // error propagates unchanged, exactly as before this layer
-        // existed.
+        self.regions[region as usize].report.setup_cycles += setup_delta;
+        Ok(())
+    }
+
+    /// Install one instance of `region` for `key` from `source`: the
+    /// paper's copy, patch, install, in one place for every source.
+    ///
+    /// 1. Consult the source's fault point (a fresh stitch consults the
+    ///    stitcher's, see [`Session::stitch_once`]; a shared entry only
+    ///    after step 2, as one whose reads do not replay is a plain miss).
+    /// 2. Unkeyed regions' cached instances: replay and charge the
+    ///    publishing stitch's recorded table reads. A match proves a
+    ///    local stitch would bake in the same values, so sessions with
+    ///    different constants never alias each other's code.
+    /// 3. Relocate to the install base (a fresh stitch is already there).
+    /// 4. `verify_code`: every source is untrusted until it passes.
+    /// 5. Back off injected arena exhaustion (fresh and background code),
+    ///    then charge the tariff: cached and background code pay the bulk
+    ///    copy per word, a disk hit its probe as well.
+    /// 6. `append_code`.
+    /// 7. Bump the source's counters and emit its trace events.
+    /// 8. Fresh and background code: pre-translate to native (so what is
+    ///    published carries its native footprint), store to disk, publish
+    ///    to the shared cache. A disk hit reuses its stored native stubs.
+    /// 9. [`Session::index_instance`].
+    ///
+    /// A refused fresh stitch is retried with backoff up to the policy
+    /// cap; any other refused source records a typed health entry and
+    /// returns `Ok(false)`, so the caller falls through to its next
+    /// source (a stitch, or the fallback copy).
+    ///
+    /// # Errors
+    /// A genuine stitcher error, a fresh stitch refused past the retry
+    /// cap, or an [`Session::index_instance`] error.
+    fn install(&mut self, region: u16, key: Vec<u64>, source: Source) -> Result<bool, Error> {
+        let unkeyed = self.program.borrow().compiled.regions[region as usize]
+            .key_locs
+            .is_empty();
+        let fresh = matches!(source, Source::Fresh { .. });
+        let publish = fresh || matches!(source, Source::Background { .. });
         let mut attempt = 0u32;
-        let (mut stitched, base) = loop {
-            self.tr(EventKind::StitchStart { region });
+        let (mut stitched, relocated, base) = loop {
             let base = self.vm.code.len() as u32;
-            match self.stitch_once(region, table, base) {
-                Ok(s) => break (s, base),
-                Err(StitchFailure::Fatal(e)) => {
+            match self.candidate(region, &source, unkeyed, base) {
+                Ok((stitched, relocated)) => break (stitched, relocated, base),
+                Err(Refusal::Miss) => return Ok(false),
+                Err(Refusal::Fatal(e)) => {
                     self.record_failure(region, FailureKind::Stitch, false, e.to_string());
                     return Err(Error::Stitch(e));
                 }
-                Err(StitchFailure::Retryable(kind, injected, msg)) => {
+                Err(Refusal::Failed(kind, injected, msg)) => {
+                    if let Source::Persist { .. } = source {
+                        self.persist_reject(region, kind, injected, msg);
+                        return Ok(false);
+                    }
                     self.record_failure(region, kind, injected, msg.clone());
                     attempt += 1;
-                    if attempt > self.recovery.policy().max_retries {
-                        return Err(Error::Stitch(dyncomp_stitcher::StitchError::BadTemplate(
-                            msg,
-                        )));
+                    if !fresh {
+                        return Ok(false);
+                    } else if attempt > self.recovery.policy().max_retries {
+                        return Err(Error::Stitch(StitchError::BadTemplate(msg)));
                     }
                     self.charge_retry(region, attempt);
                 }
             }
         };
-        // Injected arena exhaustion: back off deterministically (the
-        // simulated arena grows) before installing.
-        let mut attempt = 0u32;
-        while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
-            self.record_failure(
-                region,
-                FailureKind::Install,
-                true,
-                "injected code-arena exhaustion during install".to_string(),
-            );
-            attempt += 1;
-            if attempt > self.recovery.policy().max_retries {
-                break;
+        if publish {
+            // Injected arena exhaustion: back off deterministically (the
+            // simulated arena grows) before installing.
+            let mut attempt = 0u32;
+            while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
+                self.record_failure(
+                    region,
+                    FailureKind::Install,
+                    true,
+                    "injected code-arena exhaustion during install".to_string(),
+                );
+                attempt += 1;
+                if attempt > self.recovery.policy().max_retries {
+                    break;
+                }
+                self.charge_retry(region, attempt);
             }
-            self.charge_retry(region, attempt);
         }
-        self.vm.append_code(&stitched.code);
-        let code_len = stitched.code.len() as u32;
-
-        // Pre-translate for the native backend so the instance published
-        // to the shared cache carries its native footprint (byte-budgeted
-        // shards then govern both backends). The artifact is stashed for
-        // `index_instance`, which performs the actual install.
-        if self.native.is_some() {
-            let artifact = self.translate_native(region, base, code_len);
-            stitched.native_bytes = if artifact.entry_supported {
-                artifact.bytes.len() as u64
-            } else {
-                0
+        let code = relocated.as_deref().unwrap_or(&stitched.code);
+        let len = code.len() as u32;
+        if !fresh {
+            let probe = match source {
+                Source::Persist { .. } => self.options.shared_lookup_cycles,
+                _ => 0,
             };
-            if let Some(ns) = self.native_checked(region) {
-                ns.pending = Some((base, artifact));
-            }
+            self.vm.cycles += probe + self.options.shared_install_cycles_per_word * u64::from(len);
         }
+        self.vm.append_code(code);
 
         let st = &mut self.regions[region as usize];
-        st.setup_cycles += setup_delta;
-        st.stitches += 1;
-        accumulate(&mut st.stitch, &stitched.stats);
-        st.tables.push(table);
-        let key = st.pending_key.take().unwrap_or_default();
+        match &source {
+            Source::Fresh { table } => {
+                st.tables.push(*table);
+                let s = stitched.stats;
+                st.report.stitches += 1;
+                st.report.stitch_stats += s;
+                st.report.stitch_cycles += s.cycles;
+                st.report.instructions_stitched += s.instructions_stitched;
+                self.trace_stitch(region, &stitched);
+            }
+            &Source::Background {
+                setup_cycles,
+                stitch_cycles,
+                speculative,
+                ..
+            } => {
+                st.report.bg_installs += 1;
+                st.report.spec_installs += u64::from(speculative);
+                st.report.bg_setup_cycles += setup_cycles;
+                st.report.bg_stitch_cycles += stitch_cycles;
+                self.tr(EventKind::BgInstall {
+                    region,
+                    words: len,
+                    speculative,
+                    setup_cycles,
+                    stitch_cycles,
+                });
+                if speculative {
+                    self.tr(EventKind::SpeculateHit { region });
+                }
+            }
+            Source::Shared(_) => {
+                st.report.shared_hits += 1;
+                self.tr(EventKind::CacheInstall { region, words: len });
+            }
+            Source::Persist { .. } => {
+                st.report.persist_hits += 1;
+                self.tr(EventKind::PersistLookup { region, hit: true });
+                self.tr(EventKind::PersistInstall { region, words: len });
+            }
+        }
+
+        // Native stubs are position-dependent: a disk hit's are reusable
+        // only at the very base the publisher installed at (deterministic
+        // replicas do); otherwise `index_instance` translates locally.
+        // Consuming the source here also drops its handle on the
+        // instance, so the pre-translation below updates it in place.
+        let mut native = match source.into_native() {
+            Some((at, artifact)) if at == base => Some(artifact),
+            _ => None,
+        };
+        if publish {
+            // Pre-translate, so the instance published to disk and to the
+            // shared cache carries its native footprint (byte-budgeted
+            // shards then govern both backends).
+            if self.native.is_some() {
+                let artifact = self.translate_native(region, base, len);
+                Arc::make_mut(&mut stitched).native_bytes = if artifact.entry_supported {
+                    artifact.bytes.len() as u64
+                } else {
+                    0
+                };
+                native = Some(artifact);
+            }
+            // The next *process* skips the work (host-side, zero
+            // simulated cycles); other sessions skip set-up and stitching.
+            self.persist_store(region, &key, &stitched, base, native.as_ref());
+            if let Some(cache) = &self.options.shared_cache {
+                let shared_key = SharedKey {
+                    program: self.program.borrow().id(),
+                    region,
+                    key: key.clone(),
+                };
+                let evicted = cache.insert(shared_key, stitched);
+                if evicted > 0 {
+                    self.tr(EventKind::CacheEvict {
+                        region,
+                        count: evicted as u64,
+                    });
+                }
+            }
+        }
+        self.index_instance(region, key, base, len, native)?;
+        Ok(true)
+    }
+
+    /// Steps 1–4 of [`Session::install`], one attempt at `base`: the
+    /// verified instance and, unless it was stitched right there, its
+    /// code relocated to `base`.
+    fn candidate(
+        &mut self,
+        region: u16,
+        source: &Source,
+        unkeyed: bool,
+        base: u32,
+    ) -> Result<(Arc<Stitched>, Option<Vec<u32>>), Refusal> {
+        let (kind, noun) = source.refusal();
+        let (stitched, corrupted) = match source {
+            Source::Fresh { table } => {
+                self.tr(EventKind::StitchStart { region });
+                let (stitched, corrupted) = self.stitch_once(region, *table, base)?;
+                (Arc::new(stitched), corrupted)
+            }
+            Source::Background { stitched, .. } | Source::Shared(stitched) => {
+                (Arc::clone(stitched), false)
+            }
+            Source::Persist { stitched, .. } => {
+                if self.fire(FaultPoint::PersistLoadCorrupt, region).is_some() {
+                    let msg = "injected persist load corruption: cached instance discarded";
+                    if let Some(cache) = &self.options.persist {
+                        cache.note_injected_instance_reject(msg);
+                    }
+                    return Err(Refusal::Failed(kind, true, msg.to_string()));
+                }
+                (Arc::clone(stitched), false)
+            }
+        };
+        if unkeyed && matches!(source, Source::Shared(_) | Source::Persist { .. }) {
+            self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
+            if !stitched.reads_match(&self.vm.mem) {
+                // A shared entry that does not replay holds another
+                // session's constants: an ordinary miss. A disk file that
+                // does not replay is stale.
+                return Err(match source {
+                    Source::Shared(_) => Refusal::Miss,
+                    _ => Refusal::Failed(
+                        kind,
+                        false,
+                        format!("{noun} stale: recorded table reads do not replay"),
+                    ),
+                });
+            }
+        }
+        // A shared entry reaches its fault point only once its reads
+        // replay: one that does not is a miss, not an install attempt.
+        if let Source::Shared(_) = source {
+            if self.fire(FaultPoint::SharedCacheInstall, region).is_some() {
+                let msg = "injected shared-cache install failure".to_string();
+                return Err(Refusal::Failed(kind, true, msg));
+            }
+        }
+        let relocated = match source {
+            Source::Fresh { .. } => None,
+            _ => match stitched.relocate(base, &mut self.vm.mem) {
+                Ok((code, _lin_addr)) => Some(code),
+                Err(e) => {
+                    let msg = format!("{noun} failed to relocate: {e}");
+                    return Err(Refusal::Failed(kind, false, msg));
+                }
+            },
+        };
+        if let Err(e) = verify_code(relocated.as_deref().unwrap_or(&stitched.code), base) {
+            self.tr(EventKind::VerifyReject { region });
+            return Err(Refusal::Failed(
+                FailureKind::Verify,
+                corrupted,
+                format!("{noun} rejected by pre-install verification: {e}"),
+            ));
+        }
+        Ok((stitched, relocated))
+    }
+
+    /// Trace a fresh stitch: its stitcher counters, the plan patches it
+    /// applied, and the compile-time inline sites it replays (one event
+    /// per site per stitch, mirrored in the report counter so
+    /// `trace_self_check` covers the pass).
+    fn trace_stitch(&mut self, region: u16, stitched: &Stitched) {
         let s = &stitched.stats;
         self.tr(EventKind::StitchEnd {
             region,
@@ -1983,9 +1867,6 @@ impl<P: Borrow<Program>> Session<P> {
                 value: p.value,
             });
         }
-        // Replay the compile-time inline sites this instance benefits
-        // from: one event per site per synchronous stitch, mirrored in
-        // the report counter so `trace_self_check` covers the pass.
         let inlined: Vec<(u32, u32)> = self
             .program
             .borrow()
@@ -1993,43 +1874,18 @@ impl<P: Borrow<Program>> Session<P> {
             .map(|s| (s.callee.index() as u32, s.depth))
             .collect();
         for (callee, depth) in inlined {
-            self.regions[region as usize].inlined_calls += 1;
+            self.regions[region as usize].report.inlined_calls += 1;
             self.tr(EventKind::Inlined {
                 region,
                 callee,
                 depth,
             });
         }
-
-        // Store to the on-disk cache so the next *process* can skip the
-        // work (host-side, zero simulated cycles).
-        self.persist_store(region, &key, &stitched, base);
-
-        // Publish to the process-wide cache so other sessions can skip
-        // set-up and stitching for this (region, key).
-        if let Some(cache) = &self.options.shared_cache {
-            let evicted = cache.insert(
-                SharedKey {
-                    program: self.program.borrow().id(),
-                    region,
-                    key: key.clone(),
-                },
-                Arc::new(stitched),
-            );
-            if evicted > 0 {
-                self.tr(EventKind::CacheEvict {
-                    region,
-                    count: evicted as u64,
-                });
-            }
-        }
-
-        self.index_instance(region, key, base, code_len)?;
-        Ok(())
     }
 
-    /// Record a freshly installed instance (stitched here or copied from
-    /// the shared cache): instance history, keyed cache + LRU (with
+    /// Record a freshly installed instance (step 9 of
+    /// [`Session::install`]; `native` carries its native stubs when they
+    /// are already translated): instance history, keyed cache + LRU (with
     /// capacity eviction), unkeyed trap retirement, and resume at `base`.
     ///
     /// # Errors
@@ -2042,12 +1898,13 @@ impl<P: Borrow<Program>> Session<P> {
         key: Vec<u64>,
         base: u32,
         len: u32,
+        native: Option<dyncomp_native::Artifact>,
     ) -> Result<(), Error> {
         // Offer the instance to the native backend first: the host bytes
         // it actually installs count against the same byte budget as the
         // stitched code words, so `with_byte_budget` and the degradation
         // ladder govern both backends.
-        let native_bytes = self.maybe_install_native(region, base, len);
+        let native_bytes = self.maybe_install_native(region, base, len, native);
         // Then request direct threading for it: publish its blocks in
         // the dispatch table and back-patch every exit blob that now has
         // a native continuation (its own and other chained instances').
@@ -2076,7 +1933,7 @@ impl<P: Borrow<Program>> Session<P> {
                             if let Some(e) = st.cache.remove(&victim) {
                                 evicted_bases.push(e.base);
                             }
-                            st.evictions += 1;
+                            st.report.evictions += 1;
                             evicted += 1;
                         }
                         None => break,
@@ -2112,7 +1969,7 @@ impl<P: Borrow<Program>> Session<P> {
                 disp as i32,
             ))
             .map_err(|e| {
-                Error::Stitch(dyncomp_stitcher::StitchError::BadTemplate(format!(
+                Error::Stitch(StitchError::BadTemplate(format!(
                     "trap-retirement branch to stitched code does not encode \
                      (region {region}, base {base}, enter_pc {enter_pc}): {e}"
                 )))
@@ -2131,29 +1988,7 @@ impl<P: Borrow<Program>> Session<P> {
 
     /// Measurement report for region `index`.
     pub fn region_report(&self, index: usize) -> RegionReport {
-        let st = &self.regions[index];
-        RegionReport {
-            invocations: st.invocations,
-            stitches: st.stitches,
-            shared_hits: st.shared_hits,
-            persist_hits: st.persist_hits,
-            persist_misses: st.persist_misses,
-            persist_rejects: st.persist_rejects,
-            setup_cycles: st.setup_cycles,
-            stitch_cycles: st.stitch.cycles,
-            instructions_stitched: st.stitch.instructions_stitched,
-            stitch_stats: st.stitch,
-            evictions: st.evictions,
-            fallback_runs: st.fallback_runs,
-            bg_installs: st.bg_installs,
-            spec_installs: st.spec_installs,
-            bg_setup_cycles: st.bg_setup_cycles,
-            bg_stitch_cycles: st.bg_stitch_cycles,
-            faults_injected: st.faults_injected,
-            retries: st.retries,
-            inlined_calls: st.inlined_calls,
-            native_chained: st.native_chained,
-        }
+        self.regions[index].report
     }
 
     /// Total VM cycles so far.
@@ -2247,9 +2082,7 @@ impl<P: Borrow<Program>> Session<P> {
         let Some(t) = self.trace.as_ref() else {
             return Ok(());
         };
-        let reports: Vec<RegionReport> = (0..self.regions.len())
-            .map(|i| self.region_report(i))
-            .collect();
+        let reports: Vec<RegionReport> = self.regions.iter().map(|st| st.report).collect();
         t.self_check(&reports).map_err(Error::Trace)
     }
 
@@ -2269,7 +2102,7 @@ impl<P: Borrow<Program>> Session<P> {
         for (idx, rc) in program.compiled.regions.iter().enumerate() {
             for &table in &self.regions[idx].tables {
                 let s = dyncomp_stitcher::stitch(rc, table, &mut self.vm.mem, base, opts)?;
-                accumulate(&mut total, &s.stats);
+                total += s.stats;
             }
         }
         Ok(total)
@@ -2293,14 +2126,60 @@ impl<P: Borrow<Program>> Session<P> {
     }
 }
 
-/// A failed stitch attempt: retryable under the recovery policy, or a
-/// genuine stitcher error propagated unchanged.
-enum StitchFailure {
-    /// `(kind, injected, message)` — retried with backoff up to the cap.
-    Retryable(FailureKind, bool, String),
-    /// A real [`dyncomp_stitcher::StitchError`]: deterministic, so
-    /// retrying cannot help; the caller propagates it as-is.
-    Fatal(dyncomp_stitcher::StitchError),
+/// Where [`Session::install`] gets the instance it installs.
+enum Source {
+    /// Stitch the constants table set-up just filled, right at the
+    /// install base.
+    Fresh { table: u64 },
+    /// A stitch a background worker finished (tiered mode).
+    Background {
+        stitched: Arc<Stitched>,
+        setup_cycles: u64,
+        stitch_cycles: u64,
+        speculative: bool,
+    },
+    /// Another session's instance, from the shared cache.
+    Shared(Arc<Stitched>),
+    /// An earlier process's instance, from the on-disk cache, with the
+    /// native stubs stored with it and the base they were translated at.
+    Persist {
+        stitched: Arc<Stitched>,
+        native: Option<(u32, dyncomp_native::Artifact)>,
+    },
+}
+
+impl Source {
+    /// The health-entry kind of a refused instance from this source
+    /// (verifier rejects aside), and what its messages call it.
+    fn refusal(&self) -> (FailureKind, &'static str) {
+        match self {
+            Source::Fresh { .. } => (FailureKind::Stitch, "stitched instance"),
+            Source::Background { .. } => (FailureKind::Install, "background instance"),
+            Source::Shared(_) => (FailureKind::SharedCache, "shared-cache instance"),
+            Source::Persist { .. } => (FailureKind::Persist, "persistent instance"),
+        }
+    }
+
+    /// The native stubs a disk hit carried, consuming the source.
+    fn into_native(self) -> Option<(u32, dyncomp_native::Artifact)> {
+        match self {
+            Source::Persist { native, .. } => native,
+            _ => None,
+        }
+    }
+}
+
+/// Why one install attempt produced no verified instance.
+enum Refusal {
+    /// A shared-cache entry whose table reads do not replay here: another
+    /// session's constants, an ordinary miss (nothing recorded).
+    Miss,
+    /// `(kind, injected, message)`, recorded as a health entry: a fresh
+    /// stitch retries with backoff up to the cap, other sources degrade.
+    Failed(FailureKind, bool, String),
+    /// A real [`StitchError`]: deterministic, so retrying cannot help;
+    /// propagated as-is.
+    Fatal(StitchError),
 }
 
 /// Mirror a region-key [`ValueLoc`] into the native translator's
@@ -2326,21 +2205,4 @@ fn instruction_starts(code: &[u32]) -> Vec<usize> {
         i += if wide { 2 } else { 1 };
     }
     starts
-}
-
-fn accumulate(into: &mut StitchStats, s: &StitchStats) {
-    into.instructions_stitched += s.instructions_stitched;
-    into.words_emitted += s.words_emitted;
-    into.holes_inline += s.holes_inline;
-    into.holes_big += s.holes_big;
-    into.const_branches_resolved += s.const_branches_resolved;
-    into.blocks_skipped += s.blocks_skipped;
-    into.loop_iterations += s.loop_iterations;
-    into.strength_reductions += s.strength_reductions;
-    into.regaction_loads_removed += s.regaction_loads_removed;
-    into.regaction_stores_rewritten += s.regaction_stores_rewritten;
-    into.regaction_promoted += s.regaction_promoted;
-    into.plan_hits += s.plan_hits;
-    into.plan_misses += s.plan_misses;
-    into.cycles += s.cycles;
 }

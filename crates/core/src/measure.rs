@@ -174,21 +174,7 @@ pub fn measure_kernel_full(
     let instructions_stitched: u32 = reports.iter().map(|r| r.instructions_stitched).sum();
     let mut stitch = StitchStats::default();
     for r in &reports {
-        let s = r.stitch_stats;
-        stitch.instructions_stitched += s.instructions_stitched;
-        stitch.words_emitted += s.words_emitted;
-        stitch.holes_inline += s.holes_inline;
-        stitch.holes_big += s.holes_big;
-        stitch.const_branches_resolved += s.const_branches_resolved;
-        stitch.blocks_skipped += s.blocks_skipped;
-        stitch.loop_iterations += s.loop_iterations;
-        stitch.strength_reductions += s.strength_reductions;
-        stitch.regaction_loads_removed += s.regaction_loads_removed;
-        stitch.regaction_stores_rewritten += s.regaction_stores_rewritten;
-        stitch.regaction_promoted += s.regaction_promoted;
-        stitch.plan_hits += s.plan_hits;
-        stitch.plan_misses += s.plan_misses;
-        stitch.cycles += s.cycles;
+        stitch += r.stitch_stats;
     }
     let mut spec = SpecStats::default();
     for (_, s) in &dyn_prog.spec_stats {

@@ -223,9 +223,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
 /// is gone either way).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtoError> {
     debug_assert!(body.len() <= MAX_FRAME);
-    let prefix = (body.len() as u32).to_be_bytes();
-    w.write_all(&prefix)
-        .and_then(|()| w.write_all(body))
+    // One write per frame: a prefix sent on its own waits behind Nagle's
+    // algorithm for the peer's delayed ACK (~40 ms per response on a
+    // socket without TCP_NODELAY).
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| ProtoError::new(ErrorKind::BadRequest, format!("write: {e}")))
 }
@@ -233,6 +237,23 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_leaves_in_one_write() {
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0);
+        write_frame(&mut w, br#"{"op":"ping"}"#).unwrap();
+        assert_eq!(w.0, 1, "length prefix and body must go out in one write");
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -899,3 +899,107 @@ fn shared_install_is_cheaper_than_stitching() {
         first.cycles()
     );
 }
+
+/// Background (tiered) installs are pre-translated before they are
+/// published, so with the native backend their shared-cache entries
+/// carry a native footprint for byte-budgeted shards to count.
+#[test]
+fn background_installs_publish_their_native_footprint() {
+    use std::sync::Arc;
+
+    if !dyncomp_native::available() {
+        return;
+    }
+    let src = "int f(int k, int x) { dynamicRegion key(k) (k) { return k * x * x + k; } }";
+    let p = Arc::new(Compiler::tiered().compile(src).unwrap());
+    let cache = Arc::new(crate::SharedCodeCache::default());
+    let mut s = Session::with_options(
+        Arc::clone(&p),
+        crate::EngineOptions {
+            tiered: Some(crate::TieredOptions::default()),
+            native: true,
+            shared_cache: Some(Arc::clone(&cache)),
+            ..crate::EngineOptions::default()
+        },
+    );
+    for x in 0..200u64 {
+        s.call("f", &[1 + x % 3, x]).unwrap();
+    }
+    let r = s.region_report(0);
+    assert!(r.bg_installs > 0 && r.stitches == 0, "{r:?}");
+    for k in 1..=3u64 {
+        let key = crate::SharedKey {
+            program: p.id(),
+            region: 0,
+            key: vec![k],
+        };
+        assert!(
+            cache.lookup(&key).is_some_and(|e| e.native_bytes > 0),
+            "key {k}"
+        );
+    }
+}
+
+/// A cached instance that fails `verify_code` is refused whichever cache
+/// it came from, keyed or unkeyed: one `verify` health entry, a local
+/// stitch, no cache hit, and the baseline result.
+#[test]
+fn cached_instances_failing_verification_are_stitched_locally() {
+    use crate::{EngineOptions, PersistentCache, SharedCodeCache, SharedKey};
+    use std::sync::Arc;
+
+    let keyed = "int f(int k, int x) { dynamicRegion key(k) (k) { return k * x * x + k; } }";
+    let unkeyed = "int f(int k, int x) { dynamicRegion (k) { return k * x * x + k; } }";
+    let run = |p: &Arc<crate::Program>, opts| {
+        let mut s = Session::with_options(Arc::clone(p), opts);
+        let sum: u64 = (0..5u64).map(|x| s.call("f", &[3, x]).unwrap()).sum();
+        (sum, s)
+    };
+    for (src, key) in [(keyed, vec![3u64]), (unkeyed, vec![])] {
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let (baseline, _) = run(&p, EngineOptions::default());
+        // A genuine instance, published by a first session, then corrupted.
+        let shared = |cache: &Arc<SharedCodeCache>| EngineOptions {
+            shared_cache: Some(Arc::clone(cache)),
+            ..EngineOptions::default()
+        };
+        let genuine = Arc::new(SharedCodeCache::default());
+        run(&p, shared(&genuine));
+        let program = p.id();
+        let skey = SharedKey {
+            program,
+            region: 0,
+            key: key.clone(),
+        };
+        let mut bad = (*genuine.lookup(&skey).unwrap()).clone();
+        assert!(bad.exit_patches.iter().all(|&(at, _)| at != 0));
+        bad.code[0] = 0xFF00_0000;
+
+        let planted = Arc::new(SharedCodeCache::default());
+        planted.insert(skey, Arc::new(bad.clone()));
+        let tag = format!("dyncomp-verify-reject-{}-{}", key.len(), std::process::id());
+        let dir = std::env::temp_dir().join(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(PersistentCache::open(&dir).unwrap());
+        disk.store_instance(p.artifact_hash(), 0, &key, &bad, 0, None, false);
+        let on_disk = EngineOptions {
+            persist: Some(disk),
+            ..EngineOptions::default()
+        };
+        for opts in [shared(&planted), on_disk] {
+            let (sum, s) = run(&p, opts);
+            assert_eq!(sum, baseline, "key {key:?}: result changed");
+            let failures = s.health().failures;
+            assert_eq!(
+                failures
+                    .iter()
+                    .filter(|f| f.kind.name() == "verify")
+                    .count(),
+                1
+            );
+            let r = s.region_report(0);
+            assert_eq!((r.stitches, r.shared_hits, r.persist_hits), (1, 0, 0));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

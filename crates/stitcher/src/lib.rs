@@ -135,6 +135,25 @@ pub struct StitchStats {
     pub cycles: u64,
 }
 
+impl std::ops::AddAssign for StitchStats {
+    fn add_assign(&mut self, s: StitchStats) {
+        self.instructions_stitched += s.instructions_stitched;
+        self.words_emitted += s.words_emitted;
+        self.holes_inline += s.holes_inline;
+        self.holes_big += s.holes_big;
+        self.const_branches_resolved += s.const_branches_resolved;
+        self.blocks_skipped += s.blocks_skipped;
+        self.loop_iterations += s.loop_iterations;
+        self.strength_reductions += s.strength_reductions;
+        self.regaction_loads_removed += s.regaction_loads_removed;
+        self.regaction_stores_rewritten += s.regaction_stores_rewritten;
+        self.regaction_promoted += s.regaction_promoted;
+        self.plan_hits += s.plan_hits;
+        self.plan_misses += s.plan_misses;
+        self.cycles += s.cycles;
+    }
+}
+
 /// The stitched, executable code for one region instance.
 ///
 /// Besides the installable code words, this records everything needed to
